@@ -4,7 +4,7 @@
 
 use crate::knowledge::DomainKnowledge;
 use sd_locations::extract;
-use sd_model::{catch_panic, par_chunks, par_chunks_isolated, Parallelism, RawMessage, SyslogPlus};
+use sd_model::{catch_panic, par_chunks_isolated, Parallelism, RawMessage, SyslogPlus};
 use sd_templates::TokenScratch;
 
 /// Augment one raw message. Returns `None` when the originating router is
@@ -37,36 +37,12 @@ pub fn augment_with(
 /// Augment a whole batch, dropping unknown-router messages; returns the
 /// augmented messages and the number dropped.
 pub fn augment_batch(k: &DomainKnowledge, batch: &[RawMessage]) -> (Vec<SyslogPlus>, usize) {
-    augment_batch_with(k, batch, Parallelism::sequential())
-}
-
-/// [`augment_batch`] over `par.threads` scoped threads. Augmentation is
-/// per-message pure, so chunks are processed independently (each with its
-/// own token scratch) and concatenated in input order — the output is
-/// identical for every thread count.
-pub fn augment_batch_with(
-    k: &DomainKnowledge,
-    batch: &[RawMessage],
-    par: Parallelism,
-) -> (Vec<SyslogPlus>, usize) {
-    let chunk_results = par_chunks(par, batch, |start, chunk| {
-        let mut out = Vec::with_capacity(chunk.len());
-        let mut dropped = 0usize;
-        let mut scratch = TokenScratch::new();
-        for (off, m) in chunk.iter().enumerate() {
-            match augment_with(k, start + off, m, &mut scratch) {
-                Some(sp) => out.push(sp),
-                None => dropped += 1,
-            }
-        }
-        (out, dropped)
-    });
     let mut out = Vec::with_capacity(batch.len());
-    let mut dropped = 0usize;
-    for (chunk_out, chunk_dropped) in chunk_results {
-        out.extend(chunk_out);
-        dropped += chunk_dropped;
+    let mut scratch = TokenScratch::new();
+    for (idx, m) in batch.iter().enumerate() {
+        out.extend(augment_with(k, idx, m, &mut scratch));
     }
+    let dropped = batch.len() - out.len();
     (out, dropped)
 }
 
@@ -89,8 +65,8 @@ pub struct IsolatedAugment {
 /// fresh scratch — the panicked one may hold torn state) so only the
 /// truly offending messages are quarantined; every healthy message in
 /// the shard still augments. The output is deterministic and identical
-/// for every thread count, and with no panics it is exactly
-/// [`augment_batch_with`]'s.
+/// for every thread count, and with no panics its `Some` entries are
+/// exactly [`augment_batch`]'s.
 pub fn augment_batch_isolated(
     k: &DomainKnowledge,
     batch: &[RawMessage],

@@ -77,7 +77,6 @@ pub struct DigesterState {
     pub(crate) since_sweep: usize,
     pub(crate) stats: StreamStats,
     pub(crate) open: Vec<(u64, SyslogPlus)>,
-    pub(crate) raw: Vec<(u64, RawMessage)>,
     pub(crate) parent: Vec<(u64, u64)>,
     pub(crate) groups: Vec<(u64, OpenGroup)>,
     pub(crate) trackers: TrackerTable,
@@ -428,7 +427,6 @@ mod tests {
                 n_quarantined: 0,
             },
             open: Vec::new(),
-            raw: Vec::new(),
             parent: vec![(0, 0), (1, 0)],
             groups: Vec::new(),
             trackers: Vec::new(),

@@ -1,10 +1,12 @@
-//! The three grouping stages (§4.2.1–§4.2.3) over a Syslog+ batch,
-//! fused through a union-find so the stage order cannot change the result.
+//! The three grouping stages (§4.2.1–§4.2.3), fused through a union-find
+//! so the stage order cannot change the result. `StageState` holds the
+//! stages' lookback and steps one message at a time; [`group`] drives it
+//! over a finished batch and the streaming digester over a live feed.
 
 use crate::knowledge::DomainKnowledge;
 use crate::provenance::{GroupProv, MergeCause};
 use crate::union_find::UnionFind;
-use sd_model::{par_map, Parallelism, SyslogPlus, TemplateId};
+use sd_model::{par_map, LocationId, Parallelism, SyslogPlus, TemplateId, Timestamp};
 use sd_temporal::EwmaTracker;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
@@ -91,81 +93,81 @@ impl GroupingResult {
     }
 }
 
-/// Union edges produced by the router-local stages over one router shard
-/// (or, on the sequential path, the whole batch). Each edge carries the
-/// stage (and, for rules, the template pair) that produced it — the
-/// provenance layer consumes the causes; plain grouping ignores them.
-struct RouterLocalOutcome {
-    edges: Vec<(usize, usize, MergeCause)>,
+/// One union edge: `(earlier id, later id, cause)`. The cause names the
+/// stage (and, for rules, the undirected template pair) that linked the
+/// two messages — the provenance layer consumes it; plain grouping
+/// ignores it.
+pub(crate) type Edge = (u64, u64, MergeCause);
+
+/// Per router: the recent representative per `(template, location)`.
+type RecentRules = HashMap<u32, HashMap<(u32, u32), (u64, Timestamp)>>;
+
+/// The lookback state of the three stages, advanced one message at a time
+/// in time order. Both the batch path ([`collect_edges`]) and the
+/// streaming digester ([`StreamDigester`](crate::StreamDigester)) drive
+/// these steps, so each stage decision is written once. Ids are the
+/// caller's: batch indices for [`group`], sequence numbers for the stream.
+#[derive(Default)]
+pub(crate) struct StageState {
+    /// Temporal: EWMA tracker and last id per `(router, template, location)`.
+    pub(crate) trackers: HashMap<(u32, u32, u32), (EwmaTracker, u64)>,
+    /// Rule-based: per router, the recent representative per
+    /// `(template, location)`.
+    pub(crate) recent_rules: RecentRules,
+    /// Cross-router: per template, the recent `(id, ts)` on any router.
+    pub(crate) recent_cross: HashMap<u32, VecDeque<(u64, Timestamp)>>,
 }
 
-/// Run the temporal and rule-based stages over the messages selected by
-/// `idxs` (ascending batch indices). Both stages key all state by router,
-/// so running them over one router's messages is *exactly* the sequential
-/// traversal restricted to that router — sharding by router changes
-/// nothing about the produced edge set.
-fn router_local_stages(
-    k: &DomainKnowledge,
-    batch: &[SyslogPlus],
-    cfg: &GroupingConfig,
-    idxs: impl Iterator<Item = usize> + Clone,
-) -> RouterLocalOutcome {
-    let mut edges: Vec<(usize, usize, MergeCause)> = Vec::new();
-
-    // ---- temporal stage -------------------------------------------------
-    if cfg.temporal {
-        let mut trackers: HashMap<(u32, u32, u32), (EwmaTracker, usize)> = HashMap::new();
-        for i in idxs.clone() {
-            let sp = &batch[i];
+impl StageState {
+    /// The temporal and rule-based stages for message `id`. Both key all
+    /// state by router, so stepping one router's messages alone is
+    /// *exactly* the sequential traversal restricted to that router —
+    /// sharding by router changes nothing about the produced edge set.
+    pub(crate) fn step_local(
+        &mut self,
+        k: &DomainKnowledge,
+        cfg: &GroupingConfig,
+        id: u64,
+        sp: &SyslogPlus,
+        edges: &mut Vec<Edge>,
+    ) {
+        // ---- temporal stage ---------------------------------------------
+        if cfg.temporal {
             let key = tkey(sp);
-            match trackers.get_mut(&key) {
+            match self.trackers.get_mut(&key) {
                 None => {
                     let mut tr = EwmaTracker::new();
                     tr.observe(sp.ts, &k.temporal);
-                    trackers.insert(key, (tr, i));
+                    self.trackers.insert(key, (tr, id));
                 }
                 Some((tr, last)) => {
-                    let new_group = tr.observe(sp.ts, &k.temporal);
-                    if !new_group {
-                        edges.push((*last, i, MergeCause::Temporal));
+                    if !tr.observe(sp.ts, &k.temporal) {
+                        edges.push((*last, id, MergeCause::Temporal));
                     }
-                    *last = i;
+                    *last = id;
                 }
             }
         }
-    }
 
-    // ---- rule-based stage ------------------------------------------------
-    if cfg.rules {
-        // Per router: a recent representative per (template, location).
-        type Recent = HashMap<(u32, u32), (usize, sd_model::Timestamp)>;
-        let mut recent: HashMap<u32, Recent> = HashMap::new();
-        let w = k.window_secs;
-        for j in idxs {
-            let sp = &batch[j];
-            let Some(tj) = sp.template else { continue };
+        // ---- rule-based stage --------------------------------------------
+        if cfg.rules {
+            let Some(tj) = sp.template else { return };
+            let w = k.window_secs;
             let loc_j = sp.primary_location();
-            let rmap = recent.entry(sp.router.0).or_default();
+            let rmap = self.recent_rules.entry(sp.router.0).or_default();
             for (&(t2, loc2), &(i2, ts2)) in rmap.iter() {
-                if sp.ts.seconds_since(ts2) > w {
-                    continue;
-                }
-                if t2 == tj.0 {
+                if sp.ts.seconds_since(ts2) > w || t2 == tj.0 {
                     continue;
                 }
                 if !k.rules.related(tj, TemplateId(t2)) {
                     continue;
                 }
-                let spatial = match loc_j {
-                    Some(a) => k.dict.spatially_match(a, sd_model::LocationId(loc2)),
-                    None => false,
-                };
-                if spatial {
-                    edges.push((i2, j, MergeCause::Rule(tj.0.min(t2), tj.0.max(t2))));
+                if loc_j.is_some_and(|a| k.dict.spatially_match(a, LocationId(loc2))) {
+                    edges.push((i2, id, MergeCause::Rule(tj.0.min(t2), tj.0.max(t2))));
                 }
             }
             if let Some(loc) = loc_j {
-                rmap.insert((tj.0, loc.0), (j, sp.ts));
+                rmap.insert((tj.0, loc.0), (id, sp.ts));
             }
             // Prune stale representatives occasionally.
             if rmap.len() > 256 {
@@ -175,69 +177,75 @@ fn router_local_stages(
         }
     }
 
-    RouterLocalOutcome { edges }
+    /// The cross-router stage for message `id` (its state spans routers,
+    /// so it never shards). `earlier` resolves an id from the lookback to
+    /// its message; `None` (already emitted) skips it.
+    pub(crate) fn step_cross<'a>(
+        &mut self,
+        k: &DomainKnowledge,
+        cfg: &GroupingConfig,
+        id: u64,
+        sp: &SyslogPlus,
+        earlier: impl Fn(u64) -> Option<&'a SyslogPlus>,
+        edges: &mut Vec<Edge>,
+    ) {
+        if !cfg.cross {
+            return;
+        }
+        let Some(tj) = sp.template else { return };
+        let q = self.recent_cross.entry(tj.0).or_default();
+        while let Some(&(_, ts)) = q.front() {
+            if sp.ts.seconds_since(ts) > cfg.cross_window_secs {
+                q.pop_front();
+            } else {
+                break;
+            }
+        }
+        for &(i2, _) in q.iter() {
+            let Some(other) = earlier(i2) else { continue };
+            if other.router != sp.router && cross_related(k, sp, other) {
+                edges.push((i2, id, MergeCause::Cross));
+            }
+        }
+        q.push_back((id, sp.ts));
+        if q.len() > 1024 {
+            q.pop_front();
+        }
+    }
 }
 
 /// All union edges of the configured stages, with their causes. The
-/// router-local stages shard by router when parallel; the cross-router
-/// stage is sequential (its state spans routers). Union-find partitions
-/// do not depend on the order edges are applied, so the edge set fully
-/// determines the grouping.
-fn collect_edges(
-    k: &DomainKnowledge,
-    batch: &[SyslogPlus],
-    cfg: &GroupingConfig,
-) -> Vec<(usize, usize, MergeCause)> {
-    let mut edges: Vec<(usize, usize, MergeCause)> = Vec::new();
-
-    // ---- router-local stages (temporal + rules), sharded by router -------
-    let outcomes: Vec<RouterLocalOutcome> = if cfg.par.is_sequential() {
-        vec![router_local_stages(k, batch, cfg, 0..batch.len())]
-    } else {
-        // Shard batch indices by router, routers in ascending id order.
-        let mut shards: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
-        for (i, sp) in batch.iter().enumerate() {
-            shards.entry(sp.router.0).or_default().push(i);
-        }
-        let shards: Vec<Vec<usize>> = shards.into_values().collect();
-        par_map(cfg.par, &shards, |_, shard| {
-            router_local_stages(k, batch, cfg, shard.iter().copied())
-        })
-    };
-    for outcome in outcomes {
-        edges.extend(outcome.edges);
+/// router-local stages run per router shard (on `cfg.par` threads); the
+/// cross-router stage is sequential (its state spans routers). Union-find
+/// partitions do not depend on the order edges are applied, so the edge
+/// set fully determines the grouping.
+fn collect_edges(k: &DomainKnowledge, batch: &[SyslogPlus], cfg: &GroupingConfig) -> Vec<Edge> {
+    // Shard batch indices by router, routers in ascending id order.
+    let mut shards: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
+    for (i, sp) in batch.iter().enumerate() {
+        shards.entry(sp.router.0).or_default().push(i);
     }
-
-    // ---- cross-router stage (sequential: state spans routers) ------------
-    if cfg.cross {
-        let cw = cfg.cross_window_secs;
-        let mut recent: HashMap<u32, VecDeque<(usize, sd_model::Timestamp)>> = HashMap::new();
-        for (j, sp) in batch.iter().enumerate() {
-            let Some(tj) = sp.template else { continue };
-            let q = recent.entry(tj.0).or_default();
-            while let Some(&(_, ts)) = q.front() {
-                if sp.ts.seconds_since(ts) > cw {
-                    q.pop_front();
-                } else {
-                    break;
-                }
-            }
-            for &(i2, _) in q.iter() {
-                let other = &batch[i2];
-                if other.router == sp.router {
-                    continue;
-                }
-                if cross_related(k, sp, other) {
-                    edges.push((i2, j, MergeCause::Cross));
-                }
-            }
-            q.push_back((j, sp.ts));
-            if q.len() > 1024 {
-                q.pop_front();
-            }
+    let shards: Vec<Vec<usize>> = shards.into_values().collect();
+    let outcomes = par_map(cfg.par, &shards, |_, shard| {
+        let mut st = StageState::default();
+        let mut local = Vec::new();
+        for &i in shard {
+            st.step_local(k, cfg, i as u64, &batch[i], &mut local);
         }
+        local
+    });
+    let mut edges: Vec<Edge> = outcomes.into_iter().flatten().collect();
+    let mut st = StageState::default();
+    for (i, sp) in batch.iter().enumerate() {
+        st.step_cross(
+            k,
+            cfg,
+            i as u64,
+            sp,
+            |id| batch.get(id as usize),
+            &mut edges,
+        );
     }
-
     edges
 }
 
@@ -255,13 +263,16 @@ pub fn stage_edges(
     cfg: &GroupingConfig,
 ) -> Vec<(usize, usize, MergeCause)> {
     collect_edges(k, batch, cfg)
+        .into_iter()
+        .map(|(a, b, cause)| (a as usize, b as usize, cause))
+        .collect()
 }
 
-fn result_from_edges(n: usize, edges: &[(usize, usize, MergeCause)]) -> GroupingResult {
+fn result_from_edges(n: usize, edges: &[Edge]) -> GroupingResult {
     let mut uf = UnionFind::new(n);
     let mut active_rules: HashSet<(u32, u32)> = HashSet::new();
     for &(a, b, cause) in edges {
-        uf.union(a, b);
+        uf.union(a as usize, b as usize);
         if let MergeCause::Rule(x, y) = cause {
             active_rules.insert((x, y));
         }
@@ -295,7 +306,7 @@ pub fn group_traced(
     let result = result_from_edges(batch.len(), &edges);
     let mut provs = vec![GroupProv::default(); result.n_groups];
     for &(a, _, cause) in &edges {
-        provs[result.group_of[a]].record(cause);
+        provs[result.group_of[a as usize]].record(cause);
     }
     (result, provs)
 }

@@ -54,10 +54,7 @@ pub mod stream;
 pub mod union_find;
 pub mod viz;
 
-pub use augment::{
-    augment, augment_batch, augment_batch_isolated, augment_batch_with, augment_with,
-    IsolatedAugment,
-};
+pub use augment::{augment, augment_batch, augment_batch_isolated, augment_with, IsolatedAugment};
 pub use checkpoint::{
     generation_path, CheckpointError, RecoveryReport, StreamSnapshot, SNAPSHOT_VERSION,
 };

@@ -2,10 +2,14 @@
 //!
 //! [`pipeline::digest`](crate::pipeline::digest) processes a finished
 //! batch; real deployments consume the syslog feed continuously. The
-//! [`StreamDigester`] accepts one message at a time, maintains exactly the
-//! batch pipeline's grouping state incrementally, and *closes* a group —
-//! emitting its [`NetworkEvent`] — once the group has been idle longer
-//! than every mechanism that could still grow it:
+//! [`StreamDigester`] accepts one message at a time and steps the *same*
+//! stage engine the batch [`group`](crate::grouping::group) drives (the
+//! lookback state of the temporal, rule-based and cross-router stages
+//! lives in `grouping`, once), so the `ref_grouping` conformance oracle
+//! that checks the batch stage decisions checks the stream's too. The
+//! digester unions each proposed edge whose earlier end is still open and
+//! *closes* a group — emitting its [`NetworkEvent`] — once the group has
+//! been idle longer than every mechanism that could still grow it:
 //!
 //! * temporal grouping never bridges a gap above `Smax`,
 //! * rule-based grouping looks back at most `W`,
@@ -30,29 +34,25 @@
 //!   sweep from firing; each forced closure increments
 //!   [`StreamStats::n_force_closed`] so degradation is observable.
 //! * **Checkpoint/restore.** [`StreamDigester::checkpoint`] serializes the
-//!   complete mutable state (open groups, union-find forest, EWMA
-//!   trackers, rule/cross lookback, counters) into a versioned
+//!   complete mutable state (open Syslog+ messages, union-find forest,
+//!   EWMA trackers, rule/cross lookback, counters) into a versioned
 //!   [`StreamSnapshot`]; [`StreamDigester::resume`] rebuilds an identical
 //!   digester from it, so a killed process continues exactly where it
-//!   stopped (asserted by the kill/resume integration tests).
+//!   stopped (asserted by the kill/resume integration tests). Snapshots
+//!   carry no raw-message copies: events are built from the Syslog+ form.
 
 use crate::augment::augment_batch_isolated;
 use crate::checkpoint::{CheckpointError, DigesterState, StreamSnapshot};
 use crate::event::{build_event, NetworkEvent};
-use crate::grouping::GroupingConfig;
+use crate::grouping::{GroupingConfig, StageState};
 use crate::knowledge::DomainKnowledge;
 use crate::priority::score_group;
 use crate::provenance::{build_provenance, CloseReason, EventProvenance, GroupProv, MergeCause};
 use crate::quarantine::QuarantineRecord;
-use sd_model::{LocationId, RawMessage, SyslogPlus, TemplateId, Timestamp};
+use sd_model::{RawMessage, SyslogPlus, Timestamp};
 use sd_telemetry::{Counter, SpanHandle, Telemetry};
-use sd_temporal::EwmaTracker;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
-
-/// Per router: the recent representative per `(template, location)` the
-/// rule-based stage looks back at.
-type RecentRules = HashMap<u32, HashMap<(u32, u32), (u64, Timestamp)>>;
+use std::collections::HashMap;
 
 /// One open (not yet emitted) group.
 #[derive(Debug, Default, Clone, Serialize, Deserialize)]
@@ -78,7 +78,7 @@ pub struct StreamConfig {
     /// Upper bound on concurrently open (buffered, not yet emitted)
     /// messages; `0` means unbounded. When exceeded, the *oldest* open
     /// groups are force-closed — counted in
-    /// [`StreamStats::n_force_closed`] — instead of letting `open`/`raw`/
+    /// [`StreamStats::n_force_closed`] — instead of letting `open`/
     /// `groups` grow without limit when a stuck or skewed clock stops the
     /// idle sweep from firing.
     pub max_open_messages: usize,
@@ -155,17 +155,14 @@ pub struct StreamDigester<'k> {
     next_seq: u64,
     /// Open messages by sequence number.
     open: HashMap<u64, SyslogPlus>,
-    /// Raw copies of open messages (events own their text on emission).
-    raw: HashMap<u64, RawMessage>,
     /// Union-find over open sequence numbers.
     parent: HashMap<u64, u64>,
     /// Group state, keyed by current root.
     groups: HashMap<u64, OpenGroup>,
 
-    // Stage state (mirrors `grouping::group`).
-    trackers: HashMap<(u32, u32, u32), (EwmaTracker, u64)>,
-    recent_rules: RecentRules,
-    recent_cross: HashMap<u32, VecDeque<(u64, Timestamp)>>,
+    /// Stage lookback, stepped exactly as [`group`](crate::grouping::group)
+    /// steps it; ids are sequence numbers.
+    stages: StageState,
 
     /// Drop / degradation / throughput counters ([`StreamStats`] is a
     /// view over these; with telemetry attached they are also exported).
@@ -238,12 +235,9 @@ impl<'k> StreamDigester<'k> {
             },
             next_seq: 0,
             open: HashMap::new(),
-            raw: HashMap::new(),
             parent: HashMap::new(),
             groups: HashMap::new(),
-            trackers: HashMap::new(),
-            recent_rules: HashMap::new(),
-            recent_cross: HashMap::new(),
+            stages: StageState::default(),
             counters: StreamCounters::new(tel),
             clock: Timestamp(i64::MIN),
             since_sweep: 0,
@@ -369,19 +363,11 @@ impl<'k> StreamDigester<'k> {
 
     /// Feed one message (must be non-decreasing in time — route unordered
     /// feeds through [`ReorderBuffer`](crate::reorder::ReorderBuffer)
-    /// first); returns any events that became closable. A panic inside
-    /// augmentation is caught and the message quarantined instead of
-    /// aborting the run.
+    /// first); returns any events that became closable. A one-message
+    /// [`push_batch`](Self::push_batch): a panic inside augmentation is
+    /// caught and the message quarantined instead of aborting the run.
     pub fn push(&mut self, m: &RawMessage) -> Vec<NetworkEvent> {
-        let k = self.k;
-        let idx = self.next_seq as usize;
-        match sd_model::catch_panic(|| crate::augment::augment(k, idx, m)) {
-            Ok(sp) => self.push_augmented(m, sp),
-            Err(reason) => {
-                self.quarantine_message(m, &reason);
-                Vec::new()
-            }
-        }
+        self.push_batch(std::slice::from_ref(m))
     }
 
     /// Record `m` as quarantined: counted as input, excluded from the
@@ -401,20 +387,17 @@ impl<'k> StreamDigester<'k> {
 
     /// Feed a slice of messages, augmenting them on `cfg.par` threads
     /// before the (inherently sequential) incremental grouping stages.
-    /// Emits exactly what the equivalent sequence of [`push`] calls would:
+    /// Emits exactly what pushing the messages one at a time would:
     /// augmentation is per-message pure, so only the stages that carry
     /// state stay on the calling thread. Each augmentation shard runs
     /// under `catch_unwind`: a poisoned shard is retried sequentially and
     /// only the offending messages are quarantined
     /// ([`take_quarantined`](Self::take_quarantined)).
-    ///
-    /// [`push`]: StreamDigester::push
     pub fn push_batch(&mut self, msgs: &[RawMessage]) -> Vec<NetworkEvent> {
         let _g = self.sp_push.start();
         let k = self.k;
         // The batch offset passed as idx is a placeholder; the real
-        // sequence number is assigned in `push_augmented` (exactly as
-        // `push` would have).
+        // sequence number is assigned in `push_augmented`.
         let iso = {
             let _g = self.sp_augment.start();
             augment_batch_isolated(k, msgs, self.cfg.par)
@@ -454,101 +437,22 @@ impl<'k> StreamDigester<'k> {
             },
         );
 
-        // --- temporal stage ---
-        if self.cfg.temporal {
-            let key = (
-                sp.router.0,
-                sp.template.map(|t| t.0).unwrap_or(u32::MAX),
-                sp.primary_location().map(|l| l.0).unwrap_or(u32::MAX),
-            );
-            match self.trackers.get_mut(&key) {
-                None => {
-                    let mut tr = EwmaTracker::new();
-                    tr.observe(sp.ts, &self.k.temporal);
-                    self.trackers.insert(key, (tr, seq));
-                }
-                Some((tr, last)) => {
-                    let new_group = tr.observe(sp.ts, &self.k.temporal);
-                    let last_seq = *last;
-                    *last = seq;
-                    if !new_group && self.open.contains_key(&last_seq) {
-                        self.union(last_seq, seq, MergeCause::Temporal);
-                    }
-                }
-            }
-        }
-
-        // --- rule-based stage ---
-        if self.cfg.rules {
-            let w = self.k.window_secs;
-            if let Some(tj) = sp.template {
-                let loc_j = sp.primary_location();
-                let unions: Vec<(u64, u32)> = {
-                    let rmap = self.recent_rules.entry(sp.router.0).or_default();
-                    let mut hits = Vec::new();
-                    for (&(t2, loc2), &(i2, ts2)) in rmap.iter() {
-                        if sp.ts.seconds_since(ts2) > w || t2 == tj.0 {
-                            continue;
-                        }
-                        if !self.k.rules.related(tj, TemplateId(t2)) {
-                            continue;
-                        }
-                        let spatial =
-                            loc_j.is_some_and(|a| self.k.dict.spatially_match(a, LocationId(loc2)));
-                        if spatial {
-                            hits.push((i2, t2));
-                        }
-                    }
-                    if let Some(loc) = loc_j {
-                        rmap.insert((tj.0, loc.0), (seq, sp.ts));
-                    }
-                    if rmap.len() > 256 {
-                        let now = sp.ts;
-                        rmap.retain(|_, &mut (_, ts)| now.seconds_since(ts) <= w);
-                    }
-                    hits
-                };
-                for (i2, t2) in unions {
-                    if self.open.contains_key(&i2) {
-                        self.union(i2, seq, MergeCause::Rule(tj.0.min(t2), tj.0.max(t2)));
-                    }
-                }
-            }
-        }
-
-        // --- cross-router stage ---
-        if self.cfg.cross {
-            let cw = self.cfg.cross_window_secs;
-            if let Some(tj) = sp.template {
-                let unions: Vec<u64> = {
-                    let q = self.recent_cross.entry(tj.0).or_default();
-                    while let Some(&(_, ts)) = q.front() {
-                        if sp.ts.seconds_since(ts) > cw {
-                            q.pop_front();
-                        } else {
-                            break;
-                        }
-                    }
-                    q.iter().map(|&(i, _)| i).collect()
-                };
-                for i2 in unions {
-                    let Some(other) = self.open.get(&i2) else {
-                        continue;
-                    };
-                    if other.router != sp.router && cross_related(self.k, &sp, other) {
-                        self.union(i2, seq, MergeCause::Cross);
-                    }
-                }
-                let q = self.recent_cross.entry(tj.0).or_default();
-                q.push_back((seq, sp.ts));
-                if q.len() > 1024 {
-                    q.pop_front();
-                }
+        // The stages propose edges back into their lookback; only those
+        // whose earlier end is still open can merge (a closed group is
+        // already emitted). Applied in temporal → rule → cross order.
+        let mut edges = Vec::new();
+        let open = &self.open;
+        self.stages
+            .step_local(self.k, &self.cfg, seq, &sp, &mut edges);
+        self.stages
+            .step_cross(self.k, &self.cfg, seq, &sp, |id| open.get(&id), &mut edges);
+        for (earlier, later, cause) in edges {
+            if self.open.contains_key(&earlier) {
+                self.union(earlier, later, cause);
             }
         }
 
         self.open.insert(seq, sp);
-        self.raw.insert(seq, m.clone());
         let mut events = self.maybe_sweep();
         self.enforce_open_bound(&mut events);
         self.finalize(&mut events);
@@ -603,7 +507,6 @@ impl<'k> StreamDigester<'k> {
                 continue;
             };
             sp.idx = *s as usize; // global sequence number
-            self.raw.remove(s);
             self.parent.remove(s);
             batch.push(sp);
         }
@@ -750,12 +653,12 @@ impl<'k> StreamDigester<'k> {
             since_sweep: self.since_sweep,
             stats: self.stats(),
             open: sorted(&self.open),
-            raw: sorted(&self.raw),
             parent: sorted(&self.parent),
             groups: sorted(&self.groups),
-            trackers: sorted(&self.trackers),
+            trackers: sorted(&self.stages.trackers),
             recent_rules: {
                 let mut outer: crate::checkpoint::RulesLookback = self
+                    .stages
                     .recent_rules
                     .iter()
                     .map(|(&r, inner)| (r, sorted(inner)))
@@ -765,6 +668,7 @@ impl<'k> StreamDigester<'k> {
             },
             recent_cross: {
                 let mut outer: Vec<(u32, Vec<(u64, Timestamp)>)> = self
+                    .stages
                     .recent_cross
                     .iter()
                     .map(|(&t, q)| (t, q.iter().copied().collect()))
@@ -793,20 +697,21 @@ impl<'k> StreamDigester<'k> {
             scfg: st.stream,
             next_seq: st.next_seq,
             open: st.open.into_iter().collect(),
-            raw: st.raw.into_iter().collect(),
             parent: st.parent.into_iter().collect(),
             groups: st.groups.into_iter().collect(),
-            trackers: st.trackers.into_iter().collect(),
-            recent_rules: st
-                .recent_rules
-                .into_iter()
-                .map(|(r, inner)| (r, inner.into_iter().collect()))
-                .collect(),
-            recent_cross: st
-                .recent_cross
-                .into_iter()
-                .map(|(t, q)| (t, q.into_iter().collect()))
-                .collect(),
+            stages: StageState {
+                trackers: st.trackers.into_iter().collect(),
+                recent_rules: st
+                    .recent_rules
+                    .into_iter()
+                    .map(|(r, inner)| (r, inner.into_iter().collect()))
+                    .collect(),
+                recent_cross: st
+                    .recent_cross
+                    .into_iter()
+                    .map(|(t, q)| (t, q.into_iter().collect()))
+                    .collect(),
+            },
             counters,
             clock: st.clock,
             since_sweep: st.since_sweep,
@@ -822,21 +727,6 @@ impl<'k> StreamDigester<'k> {
     }
 }
 
-/// Same predicate as the batch cross-router stage.
-fn cross_related(k: &DomainKnowledge, a: &SyslogPlus, b: &SyslogPlus) -> bool {
-    for &x in &a.locations {
-        for &y in &b.locations {
-            if x == y || k.dict.cross_router_related(x, y) {
-                return true;
-            }
-            if k.dict.router_of(x) == k.dict.router_of(y) && k.dict.spatially_match(x, y) {
-                return true;
-            }
-        }
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -850,37 +740,39 @@ mod tests {
         (d, k)
     }
 
+    /// Sorted member-index sets: the partition, independent of emission
+    /// order.
+    fn norm(evs: &[NetworkEvent]) -> Vec<Vec<usize>> {
+        let mut v: Vec<Vec<usize>> = evs.iter().map(|e| e.message_idxs.clone()).collect();
+        v.sort();
+        v
+    }
+
     /// The keystone property: streaming with a safe idle horizon produces
-    /// exactly the batch partition.
+    /// exactly the batch partition, for every stage subset of Table 7.
     #[test]
     fn streaming_partition_matches_batch() {
         let (d, k) = setup();
         let online = d.online();
-        let cfg = GroupingConfig::default();
+        for cfg in [
+            GroupingConfig::t_only(),
+            GroupingConfig::t_r(),
+            GroupingConfig::default(),
+        ] {
+            let batch_digest = digest(&k, online, &cfg);
 
-        let batch_digest = digest(&k, online, &cfg);
+            let mut sd = StreamDigester::new(&k, cfg, 0);
+            let mut events = Vec::new();
+            for m in online {
+                events.extend(sd.push(m));
+            }
+            events.extend(sd.finish());
 
-        let mut sd = StreamDigester::new(&k, cfg, 0);
-        let mut events = Vec::new();
-        for m in online {
-            events.extend(sd.push(m));
+            assert_eq!(events.len(), batch_digest.events.len(), "{cfg:?}");
+            assert_eq!(norm(&events), norm(&batch_digest.events), "{cfg:?}");
+            let total: usize = events.iter().map(|e| e.size()).sum();
+            assert_eq!(total, online.len() - batch_digest.n_dropped, "{cfg:?}");
         }
-        events.extend(sd.finish());
-
-        assert_eq!(events.len(), batch_digest.events.len());
-        // Same partition: compare sorted member-idx sets.
-        let norm = |evs: &[NetworkEvent]| {
-            let mut v: Vec<Vec<usize>> = evs.iter().map(|e| e.message_idxs.clone()).collect();
-            v.sort();
-            v
-        };
-        assert_eq!(norm(&events), norm(&batch_digest.events));
-        let total: usize = events.iter().map(|e| e.size()).sum();
-        assert_eq!(total, sd_total(online.len(), batch_digest.n_dropped));
-    }
-
-    fn sd_total(input: usize, dropped: usize) -> usize {
-        input - dropped
     }
 
     /// Events are emitted progressively, not all at the end.
@@ -947,11 +839,6 @@ mod tests {
         let mut e2 = batched.push_batch(online);
         e2.extend(batched.finish());
 
-        let norm = |evs: &[NetworkEvent]| {
-            let mut v: Vec<Vec<usize>> = evs.iter().map(|e| e.message_idxs.clone()).collect();
-            v.sort();
-            v
-        };
         assert_eq!(norm(&e1), norm(&e2));
     }
 
@@ -1051,11 +938,54 @@ mod tests {
         }
         e2.extend(second.finish());
 
-        let norm = |evs: &[NetworkEvent]| {
-            let mut v: Vec<Vec<usize>> = evs.iter().map(|e| e.message_idxs.clone()).collect();
-            v.sort();
-            v
-        };
+        assert_eq!(norm(&e1), norm(&e2));
+    }
+
+    /// Snapshots written before the digester stopped keeping raw-message
+    /// copies carry a `digester.raw` array; it is ignored on load and the
+    /// resumed run still yields the uninterrupted partition.
+    #[test]
+    fn snapshot_with_legacy_raw_copies_still_resumes() {
+        let (d, k) = setup();
+        let online = d.online();
+        let cut = online.len() / 2;
+
+        let mut uninterrupted = StreamDigester::new(&k, GroupingConfig::default(), 0);
+        let mut e1 = uninterrupted.push_batch(online);
+        e1.extend(uninterrupted.finish());
+
+        // Rebuild the raw copies the older layout stored: one
+        // `(seq, message)` pair per open message.
+        let mut first = StreamDigester::new(&k, GroupingConfig::default(), 0);
+        let mut e2 = Vec::new();
+        let mut by_seq: HashMap<u64, RawMessage> = HashMap::new();
+        for m in &online[..cut] {
+            let seq = first.next_seq;
+            e2.extend(first.push(m));
+            if first.next_seq > seq {
+                by_seq.insert(seq, m.clone());
+            }
+        }
+        let mut raw: Vec<(u64, RawMessage)> =
+            first.open.keys().map(|s| (*s, by_seq[s].clone())).collect();
+        raw.sort_by_key(|&(s, _)| s);
+        assert!(!raw.is_empty());
+        let json = first.checkpoint().to_json().expect("snapshot serializes");
+        assert!(!json.contains("\"raw\""));
+        let legacy = json.replacen(
+            "\"parent\":",
+            &format!(
+                "\"raw\":{},\"parent\":",
+                serde_json::to_string(&raw).unwrap()
+            ),
+            1,
+        );
+        assert!(legacy.len() > json.len());
+
+        let snap = StreamSnapshot::from_json(&legacy).expect("legacy snapshot parses");
+        let mut second = StreamDigester::resume(&k, &snap).expect("resume");
+        e2.extend(second.push_batch(&online[cut..]));
+        e2.extend(second.finish());
         assert_eq!(norm(&e1), norm(&e2));
     }
 }

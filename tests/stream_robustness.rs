@@ -281,6 +281,60 @@ fn generation_fallback_resumes_within_one_interval() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// DURABILITY at realistic size: half of a preset-B ×0.1 log (the whole
+/// generated window, as `sdigest digest --stream` reads it) leaves
+/// megabytes of open and lookback state; the rotated checkpoint of it
+/// loads, recovers and finishes to the uninterrupted run's partition.
+#[test]
+fn multi_megabyte_checkpoint_resumes_to_the_uninterrupted_partition() {
+    let d = Dataset::generate(DatasetSpec::preset_b().scaled(0.1));
+    let k = &learn(&d.configs, d.train(), &OfflineConfig::dataset_b());
+    let lines: Vec<String> = d.messages.iter().map(|m| m.to_line()).collect();
+    let cut = lines.len() / 2;
+
+    let (uninterrupted, _) = ingest_lines(k, lines.iter().map(String::as_str), 60);
+
+    let dir = std::env::temp_dir().join(format!("sd-large-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("run.ckpt");
+    let mut first =
+        FaultTolerantIngest::new(k, GroupingConfig::default(), StreamConfig::default(), 60);
+    let mut events = Vec::new();
+    for line in &lines[..cut] {
+        events.extend(first.push_line(line));
+    }
+    first
+        .checkpoint()
+        .save_rotated(&path, 2)
+        .expect("rotated save");
+    drop(first); // the kill
+    let size = std::fs::metadata(&path).unwrap().len();
+    assert!(size > 1_500_000, "checkpoint only {size} bytes");
+
+    let started = std::time::Instant::now();
+    let (mut second, report) = FaultTolerantIngest::recover(k, &path, 2)
+        .expect("recovery succeeds")
+        .expect("a generation exists");
+    let load = started.elapsed();
+    // Generous for an unoptimized build: a load that grows quadratically
+    // with the file takes minutes here.
+    assert!(load.as_secs() < 30, "recovery took {load:?}");
+    assert_eq!(report.generation, 0);
+    assert_eq!(report.lines_consumed, cut);
+    for line in &lines[cut..] {
+        events.extend(second.push_line(line));
+    }
+    let (rest, _) = second.finish();
+    events.extend(rest);
+
+    assert_eq!(
+        digest_fingerprint(&uninterrupted),
+        digest_fingerprint(&events),
+        "resumed run diverged from uninterrupted run"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// QUARANTINE: a poison message whose augmentation panics is quarantined —
 /// counted once, recorded once — and the digest is byte-identical to a
 /// feed that never contained the message.
