@@ -6,10 +6,12 @@
 //! * `--trace FILE` — validate every JSONL provenance record against the
 //!   documented schema (event_id, n_messages, routers, templates, links,
 //!   closed_by);
-//! * `--baseline FILE` — re-run the digest at the baseline's scale with
-//!   telemetry enabled and assert throughput stays within `--min-ratio`
-//!   (default 0.95) of the recorded 1-thread figure, i.e. instrumentation
-//!   costs at most ~5%;
+//! * `--overhead` — learn preset A ×0.08 once, then time the same
+//!   one-thread digest with telemetry on and off, alternating which side
+//!   runs first, over [`OVERHEAD_PAIRS`] pairs; fail when the median
+//!   per-pair ratio (plain time ÷ instrumented time) is below
+//!   [`OVERHEAD_FLOOR`], i.e. instrumentation costs more than ~5 %. Both
+//!   sides run in one process, so host speed swings hit them alike;
 //! * `--require-durability` — additionally require the durability
 //!   counters (`sd_ckpt_n_corrupt`, `sd_ckpt_n_fallback`, and a
 //!   quarantine counter) in the `--metrics` snapshot.
@@ -22,21 +24,12 @@ use sd_telemetry::{validate_exposition, Telemetry};
 use serde::Value;
 use std::time::Instant;
 use syslogdigest::offline::{learn, OfflineConfig};
-use syslogdigest::{digest_instrumented, GroupingConfig};
+use syslogdigest::{digest_instrumented, DomainKnowledge, GroupingConfig};
 
 fn as_u64(v: &Value) -> Option<u64> {
     match v {
         Value::U64(n) => Some(*n),
         Value::I64(n) if *n >= 0 => Some(*n as u64),
-        _ => None,
-    }
-}
-
-fn as_f64(v: &Value) -> Option<f64> {
-    match v {
-        Value::F64(x) => Some(*x),
-        Value::I64(n) => Some(*n as f64),
-        Value::U64(n) => Some(*n as f64),
         _ => None,
     }
 }
@@ -157,84 +150,193 @@ fn check_trace(path: &str) {
     println!("ok: {path} — {n} provenance records match the schema");
 }
 
-fn check_overhead(baseline: &str, min_ratio: f64) {
-    let text = std::fs::read_to_string(baseline)
-        .unwrap_or_else(|e| fail(&format!("reading {baseline}: {e}")));
-    let v: Value =
-        serde_json::parse(&text).unwrap_or_else(|e| fail(&format!("{baseline}: not JSON: {e}")));
-    let scale = v
-        .get_field("scale")
-        .and_then(as_f64)
-        .unwrap_or_else(|| fail("baseline has no scale"));
-    let reps = field_u64(&v, "reps").unwrap_or(3) as usize;
-    let base = v
-        .get_field("digest")
-        .and_then(Value::as_array)
-        .and_then(|pts| pts.iter().find(|p| field_u64(p, "threads") == Some(1)))
-        .and_then(|p| p.get_field("msgs_per_sec").and_then(as_f64))
-        .unwrap_or_else(|| fail("baseline has no 1-thread digest point"));
+/// Preset-A scale the overhead check learns and digests.
+const OVERHEAD_SCALE: f64 = 0.08;
+/// Timed (telemetry on, telemetry off) digest pairs.
+const OVERHEAD_PAIRS: usize = 41;
+/// Lowest median `plain ÷ instrumented` time ratio that passes.
+const OVERHEAD_FLOOR: f64 = 0.95;
 
-    let d = Dataset::generate(DatasetSpec::preset_a().scaled(scale));
-    let k = learn(&d.configs, d.train(), &OfflineConfig::dataset_a());
-    let online = d.online();
+/// The overhead verdict over `(plain secs, instrumented secs)` pairs:
+/// `Ok(median ratio)` when the median of `plain ÷ instrumented` is at
+/// least [`OVERHEAD_FLOOR`], `Err(median ratio)` otherwise.
+fn overhead_verdict(pairs: &[(f64, f64)]) -> Result<f64, f64> {
+    let mut ratios: Vec<f64> = pairs.iter().map(|&(plain, inst)| plain / inst).collect();
+    ratios.sort_by(f64::total_cmp);
+    let median = ratios[ratios.len() / 2];
+    if median >= OVERHEAD_FLOOR {
+        Ok(median)
+    } else {
+        Err(median)
+    }
+}
+
+/// Wall time of one one-thread digest of `online` with `tel` attached.
+fn time_digest(k: &DomainKnowledge, online: &[sd_model::RawMessage], tel: &Telemetry) -> f64 {
     let gcfg = GroupingConfig {
         par: Parallelism::with_threads(1),
         ..GroupingConfig::default()
     };
-    let tel = Telemetry::new();
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let t0 = Instant::now();
-        std::hint::black_box(digest_instrumented(&k, online, &gcfg, &tel, false));
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    let instrumented = online.len() as f64 / best;
-    let ratio = instrumented / base;
+    let t0 = Instant::now();
+    std::hint::black_box(digest_instrumented(k, online, &gcfg, tel, false));
+    t0.elapsed().as_secs_f64()
+}
+
+fn check_overhead() {
+    let d = Dataset::generate(DatasetSpec::preset_a().scaled(OVERHEAD_SCALE));
+    let k = learn(&d.configs, d.train(), &OfflineConfig::dataset_a());
+    let online = d.online();
+    let pairs: Vec<(f64, f64)> = (0..OVERHEAD_PAIRS)
+        .map(|i| {
+            // A fresh registry per run, as each `sdigest` run has.
+            let on = Telemetry::new();
+            let off = Telemetry::disabled();
+            if i % 2 == 0 {
+                let plain = time_digest(&k, online, &off);
+                (plain, time_digest(&k, online, &on))
+            } else {
+                let inst = time_digest(&k, online, &on);
+                (time_digest(&k, online, &off), inst)
+            }
+        })
+        .collect();
+    let verdict = overhead_verdict(&pairs);
+    let (Ok(ratio) | Err(ratio)) = verdict;
     println!(
-        "overhead: baseline {base:.0} msg/s, instrumented {instrumented:.0} msg/s \
-         (ratio {ratio:.3}, floor {min_ratio})"
+        "overhead: {} msgs, {OVERHEAD_PAIRS} pairs, median plain/instrumented \
+         time ratio {ratio:.3} (floor {OVERHEAD_FLOOR})",
+        online.len()
     );
-    if ratio < min_ratio {
+    if verdict.is_err() {
         fail(&format!(
-            "telemetry overhead too high: instrumented throughput is \
-             {ratio:.3}x the baseline (floor {min_ratio})"
+            "telemetry overhead too high: median ratio {ratio:.3} is below {OVERHEAD_FLOOR}"
         ));
     }
 }
 
-fn main() {
-    let mut metrics = None;
-    let mut trace = None;
-    let mut baseline = None;
-    let mut min_ratio = 0.95;
-    let mut require_durability = false;
-    let mut args = std::env::args().skip(1);
+/// What to validate, from the command line.
+#[derive(Debug, Default, PartialEq)]
+struct Opts {
+    metrics: Option<String>,
+    trace: Option<String>,
+    overhead: bool,
+    require_durability: bool,
+}
+
+/// Strict parse: an unknown argument, a `--metrics`/`--trace` with no
+/// value, or a value after a bare flag is an error.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Opts, String> {
+    let mut o = Opts::default();
+    let mut args = args.into_iter().peekable();
     while let Some(a) = args.next() {
+        let mut value = || {
+            args.next_if(|v| !v.starts_with("--"))
+                .ok_or_else(|| format!("{a} needs a value"))
+        };
         match a.as_str() {
-            "--metrics" => metrics = args.next(),
-            "--trace" => trace = args.next(),
-            "--baseline" => baseline = args.next(),
-            "--min-ratio" => {
-                min_ratio = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| fail("invalid --min-ratio"))
-            }
-            "--require-durability" => require_durability = true,
-            other => fail(&format!("unknown argument {other:?}")),
+            "--metrics" => o.metrics = Some(value()?),
+            "--trace" => o.trace = Some(value()?),
+            "--overhead" => o.overhead = true,
+            "--require-durability" => o.require_durability = true,
+            other => return Err(format!("unknown argument {other:?}")),
         }
     }
-    if metrics.is_none() && trace.is_none() && baseline.is_none() {
-        fail("nothing to validate: pass --metrics, --trace, and/or --baseline");
+    if o.metrics.is_none() && o.trace.is_none() && !o.overhead {
+        return Err("nothing to validate: pass --metrics, --trace, and/or --overhead".to_owned());
     }
-    if let Some(p) = metrics {
-        check_metrics(&p, require_durability);
+    Ok(o)
+}
+
+fn main() {
+    let o = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!(
+            "validate_telemetry: {e}\n\
+             usage: validate_telemetry [--metrics FILE [--require-durability]] \
+             [--trace FILE] [--overhead]"
+        );
+        std::process::exit(2);
+    });
+    if let Some(p) = &o.metrics {
+        check_metrics(p, o.require_durability);
     }
-    if let Some(p) = trace {
-        check_trace(&p);
+    if let Some(p) = &o.trace {
+        check_trace(p);
     }
-    if let Some(p) = baseline {
-        check_overhead(&p, min_ratio);
+    if o.overhead {
+        check_overhead();
     }
     println!("validate_telemetry: all checks passed");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn equal_timings_pass() {
+        let pairs = vec![(0.10, 0.10); OVERHEAD_PAIRS];
+        assert_eq!(overhead_verdict(&pairs), Ok(1.0));
+    }
+
+    #[test]
+    fn ten_percent_slower_instrumented_side_fails() {
+        let pairs = vec![(0.10, 0.11); OVERHEAD_PAIRS];
+        assert!(overhead_verdict(&pairs).is_err());
+    }
+
+    #[test]
+    fn verdict_reads_the_median_not_the_outliers() {
+        // A few wild pairs in either direction leave the median alone.
+        let mut pairs = vec![(0.10, 0.10); OVERHEAD_PAIRS];
+        pairs[0] = (0.10, 0.50);
+        pairs[1] = (0.50, 0.10);
+        assert_eq!(overhead_verdict(&pairs), Ok(1.0));
+    }
+
+    fn args(a: &[&str]) -> Result<Opts, String> {
+        parse_args(a.iter().map(|s| (*s).to_owned()))
+    }
+
+    #[test]
+    fn parses_every_check() {
+        let o = args(&[
+            "--metrics",
+            "m.prom",
+            "--require-durability",
+            "--trace",
+            "t",
+            "--overhead",
+        ]);
+        assert_eq!(
+            o,
+            Ok(Opts {
+                metrics: Some("m.prom".to_owned()),
+                trace: Some("t".to_owned()),
+                overhead: true,
+                require_durability: true,
+            })
+        );
+    }
+
+    #[test]
+    fn rejects_unknown_arguments() {
+        assert!(args(&["--overhead", "--baseline", "b.json"]).is_err());
+    }
+
+    #[test]
+    fn rejects_a_value_option_without_its_value() {
+        let e = args(&["--metrics", "--trace", "t.jsonl"]).unwrap_err();
+        assert!(e.contains("--metrics needs a value"), "{e}");
+        assert!(args(&["--trace"]).is_err());
+    }
+
+    #[test]
+    fn rejects_a_value_after_a_bare_flag() {
+        assert!(args(&["--overhead", "3"]).is_err());
+    }
+
+    #[test]
+    fn rejects_an_empty_command_line() {
+        assert!(args(&[]).is_err());
+    }
 }

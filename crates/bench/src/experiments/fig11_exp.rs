@@ -4,8 +4,9 @@
 //! β = 5 for both datasets).
 
 use crate::ctx::{paper, section, Ctx};
+use sd_model::Parallelism;
 use sd_temporal::sweep_beta;
-use syslogdigest::offline::temporal_series;
+use syslogdigest::offline::temporal_series_par;
 
 /// The β grid swept.
 pub const BETAS: [f64; 6] = [2.0, 3.0, 4.0, 5.0, 6.0, 7.0];
@@ -15,7 +16,7 @@ pub fn run(ctx: &Ctx) {
     section("EXP-F11  (Figure 11) — temporal compression ratio vs beta (alpha at defaults)");
     paper("ratio decreases with beta and the improvement diminishes; beta = 5 chosen");
     for (name, b) in ctx.both() {
-        let series = temporal_series(&b.knowledge, b.data.train());
+        let series = temporal_series_par(&b.knowledge, b.data.train(), Parallelism::sequential());
         let swept = sweep_beta(&series, &BETAS, b.knowledge.temporal.alpha);
         print!("  dataset {name} (alpha={}): ", b.knowledge.temporal.alpha);
         for (bv, r) in &swept {

@@ -3,8 +3,9 @@
 //! stability analysis.
 
 use crate::ctx::{paper, section, Ctx};
+use sd_model::Parallelism;
 use sd_temporal::calibrate;
-use syslogdigest::offline::temporal_series;
+use syslogdigest::offline::temporal_series_par;
 
 /// Run the calibration and print the Table 6 analogue.
 pub fn run(ctx: &Ctx) {
@@ -18,7 +19,7 @@ pub fn run(ctx: &Ctx) {
     println!("  (alpha/beta from the Fig 10-11 sweeps; W is the configured Table 6 value,");
     println!("   justified by the Fig 7 growth profile)");
     for (name, b) in ctx.both() {
-        let series = temporal_series(&b.knowledge, b.data.train());
+        let series = temporal_series_par(&b.knowledge, b.data.train(), Parallelism::sequential());
         let cal = calibrate(
             &series,
             &crate::experiments::fig10_exp::ALPHAS,

@@ -1,4 +1,8 @@
 //! Minimal `--flag value` argument parsing (no external dependency).
+//!
+//! Each subcommand declares its options in an [`OptionTable`]; anything
+//! else on its command line — an unknown option, a value option with no
+//! value, a value after a bare flag — is rejected rather than ignored.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -14,6 +18,18 @@ pub struct Parsed {
     flags: Vec<String>,
 }
 
+/// One subcommand's declared options: `(name, value options, bare
+/// flags)`, option names without the leading `--`.
+pub type OptionTable = (
+    &'static str,
+    &'static [&'static str],
+    &'static [&'static str],
+);
+
+/// Accepted by every subcommand: `main` also reads it to format its own
+/// error output.
+const GLOBAL_VALUES: &[&str] = &["log-format"];
+
 /// Argument errors with user-facing messages.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArgError(pub String);
@@ -27,8 +43,12 @@ impl fmt::Display for ArgError {
 impl std::error::Error for ArgError {}
 
 impl Parsed {
-    /// Parse an argument vector (excluding the program name).
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Parsed, ArgError> {
+    /// Parse an argument vector (excluding the program name) against the
+    /// option table `tables` declares for its subcommand.
+    pub fn parse<I: IntoIterator<Item = String>>(
+        args: I,
+        tables: &[OptionTable],
+    ) -> Result<Parsed, ArgError> {
         let mut it = args.into_iter().peekable();
         let command = it
             .next()
@@ -36,6 +56,10 @@ impl Parsed {
         if command.starts_with("--") {
             return Err(ArgError(format!("expected subcommand, got flag {command}")));
         }
+        let &(_, values, flags) = tables
+            .iter()
+            .find(|(name, _, _)| *name == command)
+            .ok_or_else(|| ArgError(format!("unknown subcommand {command:?}")))?;
         let mut parsed = Parsed {
             command,
             ..Default::default()
@@ -44,12 +68,21 @@ impl Parsed {
             let Some(key) = a.strip_prefix("--") else {
                 return Err(ArgError(format!("unexpected positional argument {a:?}")));
             };
-            match it.peek() {
-                Some(v) if !v.starts_with("--") => {
-                    let v = it.next().expect("peeked");
-                    parsed.options.insert(key.to_owned(), v);
+            if values.contains(&key) || GLOBAL_VALUES.contains(&key) {
+                let v = it
+                    .next_if(|v| !v.starts_with("--"))
+                    .ok_or_else(|| ArgError(format!("option {a} needs a value")))?;
+                parsed.options.insert(key.to_owned(), v);
+            } else if flags.contains(&key) {
+                if let Some(v) = it.next_if(|v| !v.starts_with("--")) {
+                    return Err(ArgError(format!("flag {a} takes no value, got {v:?}")));
                 }
-                _ => parsed.flags.push(key.to_owned()),
+                parsed.flags.push(key.to_owned());
+            } else {
+                return Err(ArgError(format!(
+                    "unknown option {a} for {}",
+                    parsed.command
+                )));
             }
         }
         Ok(parsed)
@@ -88,35 +121,67 @@ impl Parsed {
 mod tests {
     use super::*;
 
-    fn v(args: &[&str]) -> Vec<String> {
-        args.iter().map(|s| (*s).to_owned()).collect()
+    const TABLES: &[OptionTable] = &[
+        ("digest", &["log", "top"], &["stream"]),
+        ("learn", &["log"], &[]),
+        ("generate", &["scale", "dataset"], &[]),
+    ];
+
+    fn parse(args: &[&str]) -> Result<Parsed, ArgError> {
+        Parsed::parse(args.iter().map(|s| (*s).to_owned()), TABLES)
     }
 
     #[test]
     fn parses_options_and_flags() {
-        let p = Parsed::parse(v(&["digest", "--log", "x.log", "--top", "5", "--stream"])).unwrap();
+        let p = parse(&["digest", "--log", "x.log", "--top", "5", "--stream"]).unwrap();
         assert_eq!(p.command, "digest");
         assert_eq!(p.req("log").unwrap(), "x.log");
         assert_eq!(p.opt_parse("top", 10usize).unwrap(), 5);
         assert!(p.flag("stream"));
         assert!(!p.flag("verbose"));
+        let p = parse(&["learn", "--log-format", "json"]).unwrap();
+        assert_eq!(p.opt("log-format"), Some("json"));
     }
 
     #[test]
     fn errors_are_helpful() {
-        assert!(Parsed::parse(v(&[])).is_err());
-        assert!(Parsed::parse(v(&["--nope"])).is_err());
-        assert!(Parsed::parse(v(&["learn", "stray"])).is_err());
-        let p = Parsed::parse(v(&["learn"])).unwrap();
+        assert!(parse(&[]).is_err());
+        assert!(parse(&["--nope"]).is_err());
+        assert!(parse(&["learn", "stray"]).is_err());
+        let e = parse(&["frobnicate"]).unwrap_err();
+        assert!(e.0.contains("unknown subcommand"), "{e}");
+        let p = parse(&["learn"]).unwrap();
         let e = p.req("log").unwrap_err();
         assert!(e.0.contains("--log"));
-        let p = Parsed::parse(v(&["x", "--top", "abc"])).unwrap();
+        let p = parse(&["digest", "--top", "abc"]).unwrap();
         assert!(p.opt_parse("top", 1usize).is_err());
     }
 
     #[test]
+    fn rejects_an_unknown_option() {
+        let e = parse(&["learn", "--bogus-flag", "3"]).unwrap_err();
+        assert!(e.0.contains("unknown option --bogus-flag"), "{e}");
+        // Declared for another subcommand only.
+        assert!(parse(&["learn", "--stream"]).is_err());
+    }
+
+    #[test]
+    fn rejects_a_value_option_without_its_value() {
+        let e = parse(&["learn", "--log"]).unwrap_err();
+        assert!(e.0.contains("--log needs a value"), "{e}");
+        let e = parse(&["digest", "--top", "--stream"]).unwrap_err();
+        assert!(e.0.contains("--top needs a value"), "{e}");
+    }
+
+    #[test]
+    fn rejects_a_value_after_a_bare_flag() {
+        let e = parse(&["digest", "--stream", "yes"]).unwrap_err();
+        assert!(e.0.contains("--stream takes no value"), "{e}");
+    }
+
+    #[test]
     fn defaults_apply_when_absent() {
-        let p = Parsed::parse(v(&["generate"])).unwrap();
+        let p = parse(&["generate"]).unwrap();
         assert_eq!(p.opt_parse("scale", 1.0f64).unwrap(), 1.0);
         assert_eq!(p.opt("dataset"), None);
     }

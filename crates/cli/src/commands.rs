@@ -1,6 +1,6 @@
 //! Subcommand implementations for `sdigest`.
 
-use crate::args::{ArgError, Parsed};
+use crate::args::{ArgError, OptionTable, Parsed};
 use sd_model::{Parallelism, ParseError, RawMessage, Vendor};
 use sd_netsim::{apply_fault, inject, Dataset, DatasetSpec, FaultSpec, StorageFault};
 use sd_telemetry::{Json, JsonlSink, LogFormat, Logger, Telemetry};
@@ -431,6 +431,9 @@ fn stream_digest(
 /// `sdigest digest --knowledge FILE --log FILE [--top N] [--stages TRC] [--threads N]
 ///  [--metrics-out FILE] [--trace FILE] [--log-format text|json]
 ///  [--stream [--max-skew S] [--max-open M] [--checkpoint FILE] [--checkpoint-every N]]`
+///
+/// `--threads` parallelizes the batch digest only: `--stream` augments and
+/// groups each reorder release on the calling thread.
 pub fn cmd_digest(p: &Parsed) -> CmdResult {
     let k = load_knowledge(p)?;
     let log = Path::new(p.req("log")?);
@@ -668,6 +671,13 @@ pub fn usage() -> &'static str {
                         [--at BYTE] [--seed N] [--out FILE]\n\
        sdigest stats    --log FILE [--top N]\n\
      \n\
+     Unknown options, and options missing their value, are rejected.\n\
+     \n\
+     PARALLELISM:\n\
+       --threads N          worker threads for learn, explain and batch\n\
+                            digest (default: all cores); digest --stream\n\
+                            works on the calling thread and ignores it\n\
+     \n\
      OBSERVABILITY:\n\
        --metrics-out FILE   write a Prometheus text-format snapshot of all\n\
                             stage counters and span timings (updated at every\n\
@@ -689,6 +699,52 @@ pub fn usage() -> &'static str {
                             augmentation panicked; the run continues and the\n\
                             digest is as if those messages were absent\n"
 }
+
+/// Every subcommand's declared options (`--log-format` is accepted by
+/// all of them). [`Parsed::parse`] rejects anything else.
+pub const COMMANDS: &[OptionTable] = &[
+    (
+        "generate",
+        &["out", "dataset", "scale", "seed", "metrics-out"],
+        &[],
+    ),
+    (
+        "learn",
+        &["configs", "log", "out", "profile", "threads", "metrics-out"],
+        &[],
+    ),
+    (
+        "digest",
+        &[
+            "knowledge",
+            "log",
+            "top",
+            "stages",
+            "threads",
+            "metrics-out",
+            "trace",
+            "quarantine-out",
+            "max-skew",
+            "max-open",
+            "checkpoint",
+            "checkpoint-every",
+            "checkpoint-keep",
+        ],
+        &["stream"],
+    ),
+    (
+        "explain",
+        &["knowledge", "log", "event", "stages", "threads"],
+        &[],
+    ),
+    (
+        "inject",
+        &["log", "out", "preset", "seed", "artifact", "storage", "at"],
+        &[],
+    ),
+    ("stats", &["log", "top"], &[]),
+    ("help", &[], &[]),
+];
 
 /// Dispatch a parsed command line.
 pub fn dispatch(p: &Parsed) -> CmdResult {
@@ -719,8 +775,12 @@ mod tests {
         dir
     }
 
+    fn try_parse(args: &[&str]) -> Result<Parsed, ArgError> {
+        Parsed::parse(args.iter().map(|s| (*s).to_owned()), COMMANDS)
+    }
+
     fn parse(args: &[&str]) -> Parsed {
-        Parsed::parse(args.iter().map(|s| (*s).to_owned())).unwrap()
+        try_parse(args).unwrap()
     }
 
     #[test]
@@ -1144,7 +1204,17 @@ mod tests {
     fn helpful_errors() {
         assert!(cmd_generate(&parse(&["generate", "--dataset", "Z", "--out", "/tmp/x"])).is_err());
         assert!(cmd_learn(&parse(&["learn"])).is_err());
-        assert!(dispatch(&parse(&["frobnicate"])).is_err());
+        assert!(try_parse(&["frobnicate"]).is_err());
         assert!(dispatch(&parse(&["help"])).unwrap().contains("USAGE"));
+    }
+
+    #[test]
+    fn options_the_table_does_not_declare_are_rejected() {
+        // An unknown flag, even one with a plausible value.
+        assert!(try_parse(&["stats", "--log", "x.log", "--bogus-flag", "3"]).is_err());
+        // A value option at the end with no value: not "all cores".
+        assert!(try_parse(&["learn", "--log", "l", "--threads"]).is_err());
+        // A flag another subcommand declares.
+        assert!(try_parse(&["stats", "--log", "l", "--stream"]).is_err());
     }
 }

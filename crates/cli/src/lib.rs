@@ -18,5 +18,5 @@
 pub mod args;
 pub mod commands;
 
-pub use args::{ArgError, Parsed};
+pub use args::{ArgError, OptionTable, Parsed};
 pub use commands::{cmd_digest, cmd_explain, cmd_generate, cmd_learn, cmd_stats};

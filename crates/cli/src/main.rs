@@ -17,10 +17,10 @@ fn main() {
         eprint!("{}", sd_cli::commands::usage());
         std::process::exit(2);
     }
-    let parsed = match sd_cli::Parsed::parse(args) {
+    let parsed = match sd_cli::Parsed::parse(args, sd_cli::commands::COMMANDS) {
         Ok(p) => p,
         Err(e) => {
-            logger.error(&e.to_string(), &[]);
+            logger.error(&format!("{e}\n\n{}", sd_cli::commands::usage()), &[]);
             std::process::exit(2);
         }
     };

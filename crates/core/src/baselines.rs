@@ -1,16 +1,14 @@
-//! Baselines the paper argues against, implemented for the ablation
-//! benches: vendor-severity ranking (§2 explains why it misleads) and
-//! fixed-gap temporal clustering (what EWMA improves upon).
+//! Baselines the paper argues against: vendor-severity ranking (§2
+//! explains why it misleads), compared against §4.2.4 scoring by
+//! `exp_severity`.
 
 use crate::event::NetworkEvent;
-use crate::knowledge::DomainKnowledge;
-use sd_model::{RawMessage, Severity, SyslogPlus};
-use std::collections::HashMap;
+use sd_model::{RawMessage, Severity};
 
 /// Re-rank events by vendor severity: an event's severity is the most
 /// severe (lowest-rank) vendor severity among its member messages; ties
 /// break toward more messages. This is the ranking the paper says *not*
-/// to trust — benches compare it against §4.2.4 scoring.
+/// to trust.
 pub fn severity_rank(events: &mut [NetworkEvent], raw: &[RawMessage]) {
     let sev_of = |e: &NetworkEvent| -> u8 {
         e.message_idxs
@@ -27,71 +25,10 @@ pub fn severity_rank(events: &mut [NetworkEvent], raw: &[RawMessage]) {
     });
 }
 
-/// Fixed-gap temporal grouping: split a per-(router, template, location)
-/// series whenever the gap exceeds `gap_secs` — no adaptation. Returns the
-/// number of groups over the batch (comparable with the EWMA stage's
-/// group count on the same batch).
-pub fn fixed_gap_group_count(batch: &[SyslogPlus], gap_secs: i64) -> usize {
-    let mut last: HashMap<(u32, u32, u32), sd_model::Timestamp> = HashMap::new();
-    let mut groups = 0usize;
-    for sp in batch {
-        let key = (
-            sp.router.0,
-            sp.template.map(|t| t.0).unwrap_or(u32::MAX),
-            sp.primary_location().map(|l| l.0).unwrap_or(u32::MAX),
-        );
-        match last.get(&key) {
-            Some(&prev) if sp.ts.seconds_since(prev) <= gap_secs => {}
-            _ => groups += 1,
-        }
-        last.insert(key, sp.ts);
-    }
-    groups
-}
-
-/// Count the temporal-stage groups the EWMA model produces on the same
-/// batch (helper mirroring [`fixed_gap_group_count`] for bench parity).
-pub fn ewma_group_count(k: &DomainKnowledge, batch: &[SyslogPlus]) -> usize {
-    use sd_temporal::EwmaTracker;
-    let mut trackers: HashMap<(u32, u32, u32), EwmaTracker> = HashMap::new();
-    let mut groups = 0usize;
-    for sp in batch {
-        let key = (
-            sp.router.0,
-            sp.template.map(|t| t.0).unwrap_or(u32::MAX),
-            sp.primary_location().map(|l| l.0).unwrap_or(u32::MAX),
-        );
-        let tr = trackers.entry(key).or_default();
-        if tr.observe(sp.ts, &k.temporal) {
-            groups += 1;
-        }
-    }
-    groups
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sd_model::{ErrorCode, RouterId, TemplateId, Timestamp};
-
-    fn sp(ts: i64, t: u32) -> SyslogPlus {
-        SyslogPlus {
-            idx: 0,
-            ts: Timestamp(ts),
-            router: RouterId(0),
-            template: Some(TemplateId(t)),
-            locations: vec![],
-        }
-    }
-
-    #[test]
-    fn fixed_gap_splits_on_threshold() {
-        let batch = vec![sp(0, 1), sp(30, 1), sp(100, 1), sp(5000, 1)];
-        assert_eq!(fixed_gap_group_count(&batch, 60), 3); // gaps 70 and 4900 both split
-        assert_eq!(fixed_gap_group_count(&batch, 80), 2);
-        assert_eq!(fixed_gap_group_count(&batch, 10_000), 1);
-        assert_eq!(fixed_gap_group_count(&[], 60), 0);
-    }
+    use sd_model::{ErrorCode, Timestamp};
 
     #[test]
     fn severity_rank_prefers_low_severity_numbers() {

@@ -135,19 +135,13 @@ impl<'k> FaultTolerantIngest<'k> {
 
     /// Flush the reorder buffer and close every remaining group.
     pub fn finish(self) -> (Vec<NetworkEvent>, IngestStats) {
-        let (events, stats, _) = self.finish_traced();
+        let (events, stats, _, _) = self.finish_full();
         (events, stats)
     }
 
     /// [`finish`](Self::finish), also returning the provenance records of
     /// every event closed during the final flush (empty unless tracing
-    /// was enabled via [`set_trace`](Self::set_trace)).
-    pub fn finish_traced(self) -> (Vec<NetworkEvent>, IngestStats, Vec<EventProvenance>) {
-        let (events, stats, prov, _) = self.finish_full();
-        (events, stats, prov)
-    }
-
-    /// [`finish_traced`](Self::finish_traced), also draining the
+    /// was enabled via [`set_trace`](Self::set_trace)) and draining the
     /// quarantine records of messages whose augmentation panicked during
     /// the final reorder-buffer flush — the only records a caller that
     /// drains [`take_quarantined`](Self::take_quarantined) before
@@ -187,7 +181,7 @@ impl<'k> FaultTolerantIngest<'k> {
         &self.malformed_samples
     }
 
-    /// Drain the quarantine records of messages whose augmentation shard
+    /// Drain the quarantine records of messages whose augmentation
     /// panicked (see [`crate::quarantine`]); empty in a healthy run.
     pub fn take_quarantined(&mut self) -> Vec<crate::quarantine::QuarantineRecord> {
         self.digester.take_quarantined()

@@ -67,9 +67,7 @@ pub use metrics::{
     compression_table, evaluate_grouping, gt_quality, per_day_series, per_router_counts, DayStats,
     GtQuality,
 };
-pub use offline::{
-    learn, learn_instrumented, mining_stream, temporal_series, temporal_series_par, OfflineConfig,
-};
+pub use offline::{learn, learn_instrumented, mining_stream, temporal_series_par, OfflineConfig};
 pub use pipeline::{digest, digest_instrumented, Digest};
 pub use priority::score_group;
 pub use provenance::{build_provenance, CloseReason, EventProvenance, GroupProv, MergeCause};

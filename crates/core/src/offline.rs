@@ -249,13 +249,9 @@ pub fn refresh_weekly(
 }
 
 /// Build the per-`(router, template, location)` timestamp series the
-/// temporal calibration sweeps over (Figures 10–11). Key-ordered, so the
-/// returned [`SeriesSet`] is deterministic.
-pub fn temporal_series(k: &DomainKnowledge, msgs: &[RawMessage]) -> SeriesSet {
-    temporal_series_par(k, msgs, Parallelism::sequential())
-}
-
-/// [`temporal_series`] with augmentation parallel over chunks.
+/// temporal calibration sweeps over (Figures 10–11), with augmentation
+/// parallel over chunks. Key-ordered, so the returned [`SeriesSet`] is
+/// deterministic and identical for every `par`.
 pub fn temporal_series_par(
     k: &DomainKnowledge,
     msgs: &[RawMessage],

@@ -1,9 +1,11 @@
 //! Quarantine of poison messages and the injected-panic hook.
 //!
-//! When a shard of the parallel augmentation fan-out panics
+//! When a shard of the batch augmentation fan-out panics
 //! ([`crate::augment::augment_batch_isolated`]), the shard is retried
 //! sequentially and the individual messages that still panic are
-//! *quarantined*: excluded from the digest exactly as if they had never
+//! *quarantined*; the stream digester augments one message at a time
+//! and quarantines any message whose augmentation panics. Quarantined
+//! messages are excluded from the digest exactly as if they had never
 //! been fed, counted under `n_quarantined`, and recorded as
 //! [`QuarantineRecord`]s for the `--quarantine-out` JSONL sidecar. A
 //! quarantined message is never assigned a sequence number, so the
@@ -25,7 +27,7 @@ use std::sync::RwLock;
 
 /// One quarantined message with enough provenance to replay or debug
 /// it: the wire-format line, where it sat in the feed, and why its
-/// shard panicked. Serialized as one JSON object per line in the
+/// augmentation panicked. Serialized as one JSON object per line in the
 /// `--quarantine-out` sidecar.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QuarantineRecord {

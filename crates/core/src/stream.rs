@@ -41,7 +41,7 @@
 //!   stopped (asserted by the kill/resume integration tests). Snapshots
 //!   carry no raw-message copies: events are built from the Syslog+ form.
 
-use crate::augment::augment_batch_isolated;
+use crate::augment::augment_with;
 use crate::checkpoint::{CheckpointError, DigesterState, StreamSnapshot};
 use crate::event::{build_event, NetworkEvent};
 use crate::grouping::{GroupingConfig, StageState};
@@ -49,8 +49,9 @@ use crate::knowledge::DomainKnowledge;
 use crate::priority::score_group;
 use crate::provenance::{build_provenance, CloseReason, EventProvenance, GroupProv, MergeCause};
 use crate::quarantine::QuarantineRecord;
-use sd_model::{RawMessage, SyslogPlus, Timestamp};
+use sd_model::{catch_panic, RawMessage, SyslogPlus, Timestamp};
 use sd_telemetry::{Counter, SpanHandle, Telemetry};
+use sd_templates::TokenScratch;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -101,8 +102,8 @@ pub struct StreamStats {
     /// open member absent). Always 0 in a healthy run; nonzero values
     /// indicate a bug worth filing, but never abort the process.
     pub n_inconsistent: usize,
-    /// Messages quarantined because their augmentation shard panicked
-    /// even on sequential retry (see [`crate::quarantine`]). They are
+    /// Messages quarantined because their augmentation panicked (see
+    /// [`crate::quarantine`]). They are
     /// excluded from the digest exactly as if never fed; records drain
     /// via [`StreamDigester::take_quarantined`]. `serde(default)` keeps
     /// pre-quarantine snapshots loading.
@@ -185,6 +186,9 @@ pub struct StreamDigester<'k> {
     /// ([`StreamDigester::take_quarantined`]). Not checkpointed —
     /// records are sidecar output, only the counter survives resume.
     quarantined: Vec<QuarantineRecord>,
+    /// Token buffer reused by every augmentation (replaced after a
+    /// quarantined panic).
+    scratch: TokenScratch,
 
     // Cached span handles (cheap no-ops without telemetry).
     sp_push: SpanHandle,
@@ -193,20 +197,6 @@ pub struct StreamDigester<'k> {
 }
 
 impl<'k> StreamDigester<'k> {
-    /// New digester with default operational limits. `idle_close` is
-    /// clamped up to `max(Smax, W, cross window)` so closure can never
-    /// split a group the batch pipeline would have joined.
-    pub fn new(k: &'k DomainKnowledge, cfg: GroupingConfig, idle_close: i64) -> Self {
-        Self::with_config(
-            k,
-            cfg,
-            StreamConfig {
-                idle_close,
-                max_open_messages: 0,
-            },
-        )
-    }
-
     /// New digester with explicit operational limits (see [`StreamConfig`]).
     pub fn with_config(k: &'k DomainKnowledge, cfg: GroupingConfig, scfg: StreamConfig) -> Self {
         Self::with_telemetry(k, cfg, scfg, &Telemetry::disabled())
@@ -246,6 +236,7 @@ impl<'k> StreamDigester<'k> {
             pending_prov: HashMap::new(),
             trace_out: Vec::new(),
             quarantined: Vec::new(),
+            scratch: TokenScratch::new(),
             sp_push: tel.span("stream.push"),
             sp_augment: tel.span("stream.augment"),
             sp_sweep: tel.span("stream.sweep"),
@@ -385,31 +376,34 @@ impl<'k> StreamDigester<'k> {
         ));
     }
 
-    /// Feed a slice of messages, augmenting them on `cfg.par` threads
-    /// before the (inherently sequential) incremental grouping stages.
-    /// Emits exactly what pushing the messages one at a time would:
-    /// augmentation is per-message pure, so only the stages that carry
-    /// state stay on the calling thread. Each augmentation shard runs
-    /// under `catch_unwind`: a poisoned shard is retried sequentially and
-    /// only the offending messages are quarantined
-    /// ([`take_quarantined`](Self::take_quarantined)).
+    /// Feed a slice of messages (one reorder release). Each message is
+    /// augmented on the calling thread with the digester's token scratch
+    /// — releases are mostly one or a few messages, too small to repay a
+    /// thread fan-out, so `cfg.par` does not apply here — and then
+    /// stepped through the grouping stages. Emits exactly what pushing
+    /// the messages one at a time would. Augmentation runs under
+    /// `catch_unwind`: a message whose augmentation panics is quarantined
+    /// ([`take_quarantined`](Self::take_quarantined)) and the rest of the
+    /// release still goes through.
     pub fn push_batch(&mut self, msgs: &[RawMessage]) -> Vec<NetworkEvent> {
         let _g = self.sp_push.start();
         let k = self.k;
-        // The batch offset passed as idx is a placeholder; the real
-        // sequence number is assigned in `push_augmented`.
-        let iso = {
-            let _g = self.sp_augment.start();
-            augment_batch_isolated(k, msgs, self.cfg.par)
-        };
-        let poisoned: HashMap<usize, String> = iso.quarantined.into_iter().collect();
         let mut events = Vec::new();
-        for (i, (m, sp)) in msgs.iter().zip(iso.augmented).enumerate() {
-            if let Some(reason) = poisoned.get(&i) {
-                self.quarantine_message(m, reason);
-                continue;
+        for m in msgs {
+            let augmented = {
+                let _g = self.sp_augment.start();
+                // The idx is a placeholder; the real sequence number is
+                // assigned in `push_augmented`.
+                catch_panic(|| augment_with(k, 0, m, &mut self.scratch))
+            };
+            match augmented {
+                Ok(sp) => events.extend(self.push_augmented(m, sp)),
+                Err(reason) => {
+                    // The panicked scratch may hold torn state.
+                    self.scratch = TokenScratch::new();
+                    self.quarantine_message(m, &reason);
+                }
             }
-            events.extend(self.push_augmented(m, sp));
         }
         events
     }
@@ -720,6 +714,7 @@ impl<'k> StreamDigester<'k> {
             pending_prov: HashMap::new(),
             trace_out: Vec::new(),
             quarantined: Vec::new(),
+            scratch: TokenScratch::new(),
             sp_push: tel.span("stream.push"),
             sp_augment: tel.span("stream.augment"),
             sp_sweep: tel.span("stream.sweep"),
@@ -761,7 +756,7 @@ mod tests {
         ] {
             let batch_digest = digest(&k, online, &cfg);
 
-            let mut sd = StreamDigester::new(&k, cfg, 0);
+            let mut sd = StreamDigester::with_config(&k, cfg, StreamConfig::default());
             let mut events = Vec::new();
             for m in online {
                 events.extend(sd.push(m));
@@ -780,7 +775,8 @@ mod tests {
     fn events_are_emitted_before_the_feed_ends() {
         let (d, k) = setup();
         let online = d.online();
-        let mut sd = StreamDigester::new(&k, GroupingConfig::default(), 0);
+        let mut sd =
+            StreamDigester::with_config(&k, GroupingConfig::default(), StreamConfig::default());
         let mut early = 0usize;
         for m in &online[..online.len() * 3 / 4] {
             early += sd.push(m).len();
@@ -796,7 +792,8 @@ mod tests {
     fn open_state_is_bounded() {
         let (d, k) = setup();
         let online = d.online();
-        let mut sd = StreamDigester::new(&k, GroupingConfig::default(), 0);
+        let mut sd =
+            StreamDigester::with_config(&k, GroupingConfig::default(), StreamConfig::default());
         let mut max_open = 0usize;
         for m in online {
             sd.push(m);
@@ -812,19 +809,27 @@ mod tests {
     #[test]
     fn idle_close_is_clamped_to_safety_floor() {
         let (_, k) = setup();
-        let sd = StreamDigester::new(&k, GroupingConfig::default(), 1);
+        let sd = StreamDigester::with_config(
+            &k,
+            GroupingConfig::default(),
+            StreamConfig {
+                idle_close: 1,
+                ..StreamConfig::default()
+            },
+        );
         assert!(sd.idle_close_secs() >= k.temporal.s_max);
         assert!(sd.idle_close_secs() >= k.window_secs);
     }
 
-    /// `push_batch` (parallel augmentation) emits exactly what the same
-    /// messages pushed one at a time do.
+    /// `push_batch` emits exactly what the same messages pushed one at a
+    /// time do (a `par` setting does not change it).
     #[test]
     fn push_batch_matches_push_loop() {
         let (d, k) = setup();
         let online = d.online();
 
-        let mut one = StreamDigester::new(&k, GroupingConfig::default(), 0);
+        let mut one =
+            StreamDigester::with_config(&k, GroupingConfig::default(), StreamConfig::default());
         let mut e1 = Vec::new();
         for m in online {
             e1.extend(one.push(m));
@@ -835,7 +840,7 @@ mod tests {
             par: sd_model::Parallelism::with_threads(4),
             ..GroupingConfig::default()
         };
-        let mut batched = StreamDigester::new(&k, cfg, 0);
+        let mut batched = StreamDigester::with_config(&k, cfg, StreamConfig::default());
         let mut e2 = batched.push_batch(online);
         e2.extend(batched.finish());
 
@@ -845,7 +850,8 @@ mod tests {
     #[test]
     fn unknown_routers_are_counted_not_grouped() {
         let (_, k) = setup();
-        let mut sd = StreamDigester::new(&k, GroupingConfig::default(), 0);
+        let mut sd =
+            StreamDigester::with_config(&k, GroupingConfig::default(), StreamConfig::default());
         let m = RawMessage::new(
             Timestamp(0),
             "ghost",
@@ -863,7 +869,8 @@ mod tests {
     fn out_of_order_pushes_never_panic() {
         let (d, k) = setup();
         let online = d.online();
-        let mut sd = StreamDigester::new(&k, GroupingConfig::default(), 0);
+        let mut sd =
+            StreamDigester::with_config(&k, GroupingConfig::default(), StreamConfig::default());
         let n = online.len().min(2000);
         // Feed a prefix backwards, then forwards again.
         for m in online[..n].iter().rev() {
@@ -916,14 +923,16 @@ mod tests {
         let online = d.online();
         let cut = online.len() / 2;
 
-        let mut uninterrupted = StreamDigester::new(&k, GroupingConfig::default(), 0);
+        let mut uninterrupted =
+            StreamDigester::with_config(&k, GroupingConfig::default(), StreamConfig::default());
         let mut e1 = Vec::new();
         for m in online {
             e1.extend(uninterrupted.push(m));
         }
         e1.extend(uninterrupted.finish());
 
-        let mut first = StreamDigester::new(&k, GroupingConfig::default(), 0);
+        let mut first =
+            StreamDigester::with_config(&k, GroupingConfig::default(), StreamConfig::default());
         let mut e2 = Vec::new();
         for m in &online[..cut] {
             e2.extend(first.push(m));
@@ -950,13 +959,15 @@ mod tests {
         let online = d.online();
         let cut = online.len() / 2;
 
-        let mut uninterrupted = StreamDigester::new(&k, GroupingConfig::default(), 0);
+        let mut uninterrupted =
+            StreamDigester::with_config(&k, GroupingConfig::default(), StreamConfig::default());
         let mut e1 = uninterrupted.push_batch(online);
         e1.extend(uninterrupted.finish());
 
         // Rebuild the raw copies the older layout stored: one
         // `(seq, message)` pair per open message.
-        let mut first = StreamDigester::new(&k, GroupingConfig::default(), 0);
+        let mut first =
+            StreamDigester::with_config(&k, GroupingConfig::default(), StreamConfig::default());
         let mut e2 = Vec::new();
         let mut by_seq: HashMap<u64, RawMessage> = HashMap::new();
         for m in &online[..cut] {

@@ -186,7 +186,7 @@ fn streaming_ingest_is_identical_with_telemetry_and_tracing_on() {
         for m in &online[..n] {
             events.extend(ing.push_message(m.clone()));
         }
-        let (rest, _, prov) = ing.finish_traced();
+        let (rest, _, prov, _) = ing.finish_full();
         events.extend(rest);
         (render(&events), events.len(), prov)
     };
